@@ -120,17 +120,19 @@ def work_counters(cell: ExperimentResult) -> Dict[str, float]:
 
 
 def emit_bench_json(name: str, payload: Dict[str, Any]) -> Path:
-    """Write one ``BENCH_<name>.json`` artifact at the repository root.
+    """Write one ``BENCH_<name>.json`` artifact under ``.bench_build/``.
 
-    The artifact is the checked-in, machine-readable record of a benchmark
-    run (the printed tables stay the human-facing output).  A small
-    provenance block (python/platform) is added so a checked-in figure can
-    be told apart from one regenerated on different hardware; measured
-    wall-clock numbers inside ``payload`` are informational, while counter
-    fields are exact and machine-independent.
+    The artifact is the machine-readable output of a benchmark run (the
+    printed tables stay the human-facing output).  It lands in the
+    git-ignored ``.bench_build/`` directory, so running the suite never
+    rewrites tracked files; the benchmark of record is ``BENCHMARK.json``
+    (run by ``perfbench/``).  A small provenance block (python/platform) is
+    added; measured wall-clock numbers inside ``payload`` are informational,
+    while counter fields are exact and machine-independent.
     """
-    root = Path(__file__).resolve().parent.parent
-    target = root / f"BENCH_{name}.json"
+    build_dir = Path(__file__).resolve().parent.parent / ".bench_build"
+    build_dir.mkdir(exist_ok=True)
+    target = build_dir / f"BENCH_{name}.json"
     document = {
         "benchmark": name,
         "provenance": {

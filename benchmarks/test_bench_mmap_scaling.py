@@ -43,7 +43,7 @@ CSR-native matching):
 
 As established in PR 1, assertions run on deterministic counters and
 round-trip equality only; wall-clock figures are printed and written to
-``BENCH_mmap_scaling.json`` for the humans.
+``.bench_build/BENCH_mmap_scaling.json``.
 """
 
 from __future__ import annotations
@@ -572,7 +572,7 @@ def test_ftv_index_identity_grid(benchmark):
 
 
 def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path):
-    """Build/decode/QPS cells; writes ``BENCH_mmap_scaling.json``."""
+    """Build/decode/QPS cells; writes ``.bench_build/BENCH_mmap_scaling.json``."""
     cells = benchmark.pedantic(
         _storage_cells, args=(str(tmp_path),), rounds=1, iterations=1
     )

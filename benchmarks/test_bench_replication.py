@@ -2,7 +2,7 @@
 
 Three cells around the PR-10 replication/recovery machinery, following the
 repo convention (assertions on deterministic identities and counters; wall
-clock printed and written to ``BENCH_replication.json`` for the humans):
+clock printed and written to ``.bench_build/BENCH_replication.json``):
 
 1. **Replica identity grid** — on all 12 aids/pdbs × workload scenarios a
    primary runs the full cached workload with two thread-mode replicas

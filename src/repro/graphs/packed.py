@@ -392,9 +392,9 @@ class PackedGraphView(Graph):
     sealed arena record (see :meth:`GraphArena.view_at
     <repro.core.backends.arena.GraphArena.view_at>`) pays each derivation
     once per process — and because its cached ``_hash`` survives with it,
-    per-(pattern, target) matcher plan caches keyed on the view keep hitting
-    across requests.  Lazy writes are idempotent derivations of the immutable
-    record, so concurrent readers may race them harmlessly.
+    matcher plan caches keyed on the view keep hitting across requests.
+    Lazy writes are idempotent derivations of the immutable record, so
+    concurrent readers may race them harmlessly.
     """
 
     __slots__ = ("_source",)

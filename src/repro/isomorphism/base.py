@@ -48,6 +48,11 @@ class SearchBudget:
         self._started_at = time.perf_counter()
         self._nodes = 0
 
+    @property
+    def limited(self) -> bool:
+        """``True`` when a node or time limit is set, so searches must ``tick()``."""
+        return self.node_limit is not None or self.time_limit_s is not None
+
     def tick(self) -> None:
         """Account for one expanded search node; raise if the budget is blown."""
         self._nodes += 1
@@ -56,6 +61,15 @@ class SearchBudget:
         if self.time_limit_s is not None and (self._nodes & 0x3F) == 0:
             if time.perf_counter() - self._started_at > self.time_limit_s:
                 raise MatchTimeout(self.time_limit_s)
+
+    def add_nodes(self, count: int) -> None:
+        """Credit ``count`` search nodes expanded without per-node ``tick()``.
+
+        Only valid on an unlimited budget (``limited`` is ``False``): no limit
+        can fire, so a search may count nodes in a local variable and credit
+        them here once, when it finishes.
+        """
+        self._nodes += count
 
     @property
     def nodes_expanded(self) -> int:
@@ -105,7 +119,12 @@ class SubgraphMatcher(abc.ABC):
     ) -> Optional[Dict[int, int]]:
         """Return an embedding if one exists, else ``None``.
 
-        Implementations must call ``budget.tick()`` once per search-tree node.
+        Implementations must account for every search-tree node they expand.
+        When ``budget.limited`` is ``True`` they call ``budget.tick()`` once
+        per node, so a node or time limit raises :class:`MatchTimeout` at the
+        node where it is exceeded.  Otherwise they may instead count nodes
+        locally and credit the total once with ``budget.add_nodes(count)``
+        before returning; calling ``tick()`` per node is always allowed.
         When ``want_embedding`` is ``False`` they may return any non-``None``
         sentinel mapping upon success.
         """

@@ -18,7 +18,7 @@ undirected graphs:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..graphs.graph import Graph
 from .base import SearchBudget, SubgraphMatcher
@@ -69,53 +69,60 @@ def connectivity_order(pattern: Graph, priority: Optional[Sequence[float]] = Non
 class VF2Matcher(SubgraphMatcher):
     """Vanilla VF2 for non-induced, vertex-labelled subgraph isomorphism.
 
-    The per-pair search *plan* — vertex order, per-position anchor positions,
-    look-ahead degrees and label/degree-qualified base candidate masks — is
-    cached on the matcher instance keyed by the ``(pattern, target)`` pair:
-    workloads match the same query against many dataset graphs and repeat
-    query structures, so plan construction (which otherwise dominates cheap
-    searches) amortises to a dict lookup.
+    A search *plan* has two halves.  The pattern half — vertex order, the
+    positions of the already-mapped neighbours at each position (anchors),
+    the look-ahead degrees and each position's label id and degree — is an
+    immutable tuple cached on the matcher.  The target half — each
+    position's label- and degree-qualified candidate mask — is a handful of
+    mask lookups and is rebuilt on every call.  VF2's order depends on the
+    pattern alone, so its plans are keyed by the pattern and a query pays
+    for its plan once, however many candidates it is verified against.
     """
 
     name = "vf2"
+
+    #: Whether :meth:`_order` reads the target.  If so, plans are cached per
+    #: ``(pattern, target)`` pair instead of per pattern.
+    ORDER_READS_TARGET = False
 
     #: Upper bound on cached plans; the cache is cleared when it fills (a
     #: safety valve — at reproduction scale it never does).
     PLAN_CACHE_LIMIT = 65536
 
     def __init__(self) -> None:
-        self._plan_cache: Dict[Tuple[Graph, Graph], tuple] = {}
+        self._plan_cache: Dict[object, tuple] = {}
 
     def _order(self, pattern: Graph, target: Graph) -> List[int]:
         """Pattern vertex processing order; subclasses override to reorder."""
         return connectivity_order(pattern)
 
     def _plan(self, pattern: Graph, target: Graph) -> tuple:
-        """Cached (order, anchor_positions, unmapped_degrees, base_masks)."""
-        key = (pattern, target)
+        """Cached pattern half: (order, anchors, lookahead, label_ids, degrees)."""
+        key = (pattern, target) if self.ORDER_READS_TARGET else pattern
         plan = self._plan_cache.get(key)
         if plan is not None:
             return plan
         order = self._order(pattern, target)
         # Per position: the positions of the pattern neighbours already mapped
-        # when that position is reached (they drive candidate generation), the
-        # number of pattern neighbours still unmapped there (for the one-step
-        # look-ahead), and the label/degree-qualified base candidate mask.
+        # when that position is reached (they drive candidate generation) and
+        # the number of pattern neighbours still unmapped there (for the
+        # one-step look-ahead).
         position_of = {vertex: pos for pos, vertex in enumerate(order)}
-        anchor_positions: List[List[int]] = []
-        unmapped_pattern_degree: List[int] = []
-        base_masks: List[int] = []
+        anchor_positions = []
+        unmapped_pattern_degree = []
         for pos, vertex in enumerate(order):
-            anchors = [
+            anchors = tuple(
                 position_of[nb] for nb in pattern.neighbors(vertex) if position_of[nb] < pos
-            ]
+            )
             anchor_positions.append(anchors)
             unmapped_pattern_degree.append(pattern.degree(vertex) - len(anchors))
-            base_masks.append(
-                target.label_id_mask(pattern.label_id(vertex))
-                & target.degree_ge_mask(pattern.degree(vertex))
-            )
-        plan = (order, anchor_positions, unmapped_pattern_degree, base_masks)
+        plan = (
+            tuple(order),
+            tuple(anchor_positions),
+            tuple(unmapped_pattern_degree),
+            tuple(pattern.label_id(vertex) for vertex in order),
+            tuple(pattern.degree(vertex) for vertex in order),
+        )
         if len(self._plan_cache) >= self.PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
         self._plan_cache[key] = plan
@@ -128,45 +135,67 @@ class VF2Matcher(SubgraphMatcher):
         budget: SearchBudget,
         want_embedding: bool,
     ) -> Optional[Dict[int, int]]:
-        order, anchor_positions, unmapped_pattern_degree, base_masks = self._plan(
-            pattern, target
-        )
+        order, anchor_positions, lookahead, label_ids, degrees = self._plan(pattern, target)
         n = len(order)
+        # Target half of the plan: label- and degree-compatible vertices.
+        label_id_mask = target.label_id_mask
+        degree_ge_mask = target.degree_ge_mask
+        base_masks = [
+            label_id_mask(label_id) & degree_ge_mask(degree)
+            for label_id, degree in zip(label_ids, degrees)
+        ]
         target_masks = target.neighbor_masks
+        tick = budget.tick if budget.limited else None
 
-        images: List[int] = [0] * n  # target image of the vertex at each position
-        used_mask = 0
-
-        def backtrack(pos: int) -> bool:
-            nonlocal used_mask
-            if pos == n:
-                return True
-            # Candidate pool: label- and degree-compatible target vertices,
-            # unused, adjacent to the image of every already-mapped pattern
-            # neighbour (which also enforces adjacency consistency).
-            pool = base_masks[pos] & ~used_mask
-            for anchor in anchor_positions[pos]:
-                pool &= target_masks[images[anchor]]
-                if not pool:
-                    return False
-            lookahead = unmapped_pattern_degree[pos]
+        # Depth-first search with an explicit stack: images[pos] is the
+        # target image of the vertex at pos, pools[pos] its untried
+        # candidates.  Candidates are tried in ascending vertex order;
+        # free_mask holds the target vertices not used by the mapping.
+        images = [0] * n
+        pools = [0] * n
+        free_mask = target.full_vertex_mask
+        nodes = 0
+        pos = 0
+        pool = base_masks[0]
+        need = lookahead[0]
+        while True:
             while pool:
                 low = pool & -pool
                 pool ^= low
                 candidate = low.bit_length() - 1
-                budget.tick()
+                nodes += 1
+                if tick is not None:
+                    tick()
                 # One-step look-ahead: the candidate must have at least as
                 # many unmapped neighbours as the pattern vertex (necessary
                 # condition for extending the mapping later).
-                if (target_masks[candidate] & ~used_mask).bit_count() < lookahead:
+                if (target_masks[candidate] & free_mask).bit_count() < need:
                     continue
                 images[pos] = candidate
-                used_mask |= low
-                if backtrack(pos + 1):
-                    return True
-                used_mask &= ~low
-            return False
-
-        if backtrack(0):
-            return {vertex: images[pos] for pos, vertex in enumerate(order)}
-        return None
+                pools[pos] = pool
+                free_mask ^= low
+                pos += 1
+                if pos == n:
+                    if tick is None:
+                        budget.add_nodes(nodes)
+                    return {vertex: images[p] for p, vertex in enumerate(order)}
+                # Candidate pool: label- and degree-compatible target
+                # vertices, unused, adjacent to the image of every
+                # already-mapped pattern neighbour (which also enforces
+                # adjacency consistency).
+                need = lookahead[pos]
+                pool = base_masks[pos] & free_mask
+                for anchor in anchor_positions[pos]:
+                    pool &= target_masks[images[anchor]]
+                    if not pool:
+                        break
+            # Pool exhausted: undo the mapping one position up and resume
+            # its remaining candidates.
+            pos -= 1
+            if pos < 0:
+                if tick is None:
+                    budget.add_nodes(nodes)
+                return None
+            free_mask |= 1 << images[pos]
+            pool = pools[pos]
+            need = lookahead[pos]

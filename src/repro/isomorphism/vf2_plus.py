@@ -22,6 +22,9 @@ class VF2PlusMatcher(VF2Matcher):
 
     name = "vf2plus"
 
+    #: The order reads target label frequencies, so plans are per pair.
+    ORDER_READS_TARGET = True
+
     def _order(self, pattern: Graph, target: Graph) -> List[int]:
         total = max(1, target.order)
         priorities = []

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph, intern_label
+from repro.graphs.packed import PackedGraphView
+from repro.graphs.signatures import could_be_subgraph
 from repro.isomorphism import VF2Matcher, VF2PlusMatcher
 
 LABELS = ["C", "N", "O", "S"]
@@ -126,15 +128,54 @@ class TestPlanCacheDeterminism:
         assert first.nodes_expanded == second.nodes_expanded
         assert matcher.verify_embedding(pattern, target, second.embedding)
 
-    def test_plan_cache_bounded(self):
+    @staticmethod
+    def _query_and_targets(count: int = 5):
+        rng = random.Random(7)
+        targets = [random_connected_graph(12, 2.6, LABELS, rng) for _ in range(count)]
+        return targets[0].induced_subgraph(range(5)), targets
+
+    def test_vf2_plans_once_per_pattern(self):
         matcher = VF2Matcher()
-        matcher.PLAN_CACHE_LIMIT = 4
-        for seed in range(10):
-            r = random.Random(seed)
-            target = random_connected_graph(10, 2.2, LABELS, r)
-            pattern = target.induced_subgraph(r.sample(range(10), k=4))
-            matcher.is_subgraph(pattern, target)
-        assert len(matcher._plan_cache) <= 4
+        assert not matcher.ORDER_READS_TARGET
+        pattern, targets = self._query_and_targets()
+        for target in targets:
+            matcher.match(pattern, target)
+        # One plan for the pattern, shared by every target.
+        assert list(matcher._plan_cache) == [pattern]
+
+    def test_vf2plus_plans_once_per_pair(self):
+        matcher = VF2PlusMatcher()
+        assert matcher.ORDER_READS_TARGET  # its order reads target label frequencies
+        pattern, targets = self._query_and_targets()
+        for target in targets:
+            matcher.match(pattern, target)
+        # Pairs the necessary-condition filter rejects never reach the planner.
+        searched = {(pattern, t) for t in targets if could_be_subgraph(pattern, t)}
+        assert len(searched) >= 2
+        assert set(matcher._plan_cache) == searched
+
+    def test_plan_cache_bounded(self):
+        for matcher in (VF2Matcher(), VF2PlusMatcher()):
+            matcher.PLAN_CACHE_LIMIT = 4
+            for seed in range(10):
+                r = random.Random(seed)
+                target = random_connected_graph(10, 2.2, LABELS, r)
+                pattern = target.induced_subgraph(r.sample(range(10), k=4))
+                matcher.is_subgraph(pattern, target)
+            assert 0 < len(matcher._plan_cache) <= 4
+
+    def test_fresh_packed_view_hits_cached_plan(self):
+        matcher = VF2Matcher()
+        pattern, targets = self._query_and_targets()
+        matcher.match(pattern, targets[0])
+        plan = matcher._plan_cache[pattern]
+        # Each pool request arrives as a new view over new bytes.
+        for target in targets:
+            fresh = PackedGraphView(pattern.to_packed())
+            assert fresh is not pattern
+            matcher.match(fresh, target)
+            assert len(matcher._plan_cache) == 1
+            assert matcher._plan_cache[fresh] is plan
 
     def test_structurally_equal_pairs_share_plans(self):
         matcher = VF2Matcher()
